@@ -1,575 +1,88 @@
 (* Schedulers: turn a compute order into a legal trace for the
-   two-level machine, under two opposite policies for values that fall
-   out of cache:
-
-   - [run_lru]: spill. A value still needed later is written back to
-     slow memory before eviction and re-loaded on demand. No vertex is
-     ever computed twice (the classical no-recomputation execution).
-
-   - [run_rematerialize]: recompute. Intermediates are never written to
-     slow memory; only CDAG outputs are stored. A missing operand is
-     recursively recomputed from whatever is available (ultimately the
-     inputs, which can always be re-loaded). This trades arithmetic for
-     I/O as aggressively as possible — the strategy whose futility for
-     fast MM is the paper's headline (Theorem 1.1 holds regardless of
-     recomputation).
-
-   Both produce traces replayable by Cache_machine, which is how the
-   tests guarantee the schedulers only ever emit legal programs. *)
+   two-level machine. LRU, Belady and hybrid are settings of the
+   [Sched_core] engine over the explicit workload's view (remaining
+   uses as a decrementing counter); rematerialization keeps its own
+   recursion over the engine's cache primitives. *)
 
 module W = Workload
 module D = Fmm_graph.Digraph
-module IntMap = Map.Make (Int)
+module C = Sched_core
 
 type result = {
   trace : Trace.t; (* in execution order *)
   counters : Trace.counters;
 }
 
-
-
-(* Shared mutable machinery: an LRU cache over vertex ids, with a
-   use-clock map for O(log n) victim selection, emitting trace events. *)
-type core = {
-  work : W.t;
-  input_mask : int -> bool;
-  cache_size : int;
-  in_cache : bool array;
-  in_slow : bool array;
-  last_use : int array;
-  mutable clock : int;
-  mutable by_time : int IntMap.t; (* time -> vertex *)
-  mutable dead_by_time : int IntMap.t; (* dead residents, same keys *)
-  mutable occupancy : int;
-  mutable events : Trace.event list; (* reversed *)
-  mutable loads : int;
-  mutable stores : int;
-  mutable computes : int;
-  mutable recomputes : int;
-  mutable reloads : int; (* loads of a value that was resident before *)
-  mutable spill_stores : int; (* stores of non-output victims *)
-  ever_resident : bool array;
-  pinned : bool array;
-  output_pred : int -> bool;
-}
-
-let make_core work ~cache_size =
-  let n = W.n_vertices work in
-  let core =
-    {
-      work;
-      input_mask = W.is_input work;
-      cache_size;
-      in_cache = Array.make n false;
-      in_slow = Array.make n false;
-      last_use = Array.make n (-1);
-      clock = 0;
-      by_time = IntMap.empty;
-      dead_by_time = IntMap.empty;
-      occupancy = 0;
-      events = [];
-      loads = 0;
-      stores = 0;
-      computes = 0;
-      recomputes = 0;
-      reloads = 0;
-      spill_stores = 0;
-      ever_resident = Array.make n false;
-      pinned = Array.make n false;
-      output_pred = W.is_output work;
-    }
-  in
-  Array.iter (fun v -> core.in_slow.(v) <- true) work.W.inputs;
-  core
-
-let emit core e = core.events <- e :: core.events
-
-let touch core v =
-  if core.last_use.(v) >= 0 then begin
-    core.by_time <- IntMap.remove core.last_use.(v) core.by_time;
-    (* A dead value that is used again (hybrid recomputation re-demands
-       it) is live for that consumer: it rejoins the plain LRU pool. *)
-    core.dead_by_time <- IntMap.remove core.last_use.(v) core.dead_by_time
-  end;
-  core.clock <- core.clock + 1;
-  core.last_use.(v) <- core.clock;
-  core.by_time <- IntMap.add core.clock v core.by_time
-
-let forget core v =
-  if core.last_use.(v) >= 0 then begin
-    core.by_time <- IntMap.remove core.last_use.(v) core.by_time;
-    core.dead_by_time <- IntMap.remove core.last_use.(v) core.dead_by_time;
-    core.last_use.(v) <- -1
-  end
-
-(* Mark a resident vertex as dead: its last use is behind us, so
-   evicting it can never cost a reload. Dead residents are preferred
-   victims — this is what makes the spill-free bound (io = inputs +
-   outputs whenever the cache holds MAXLIVE words) hold for run_lru and
-   run_hybrid, not just for Belady. *)
-let mark_dead core v =
-  if core.last_use.(v) >= 0 then
-    core.dead_by_time <- IntMap.add core.last_use.(v) v core.dead_by_time
-
-(* Evict a victim: the least-recently-used unpinned DEAD vertex when
-   one is resident (free in the demand-paging sense — it can never be
-   referenced again), otherwise the least-recently-used unpinned vertex
-   overall. [writeback v] decides whether the victim must be stored
-   first. *)
-let evict_one core ~writeback =
-  let rec pick_opt t =
-    match IntMap.min_binding_opt t with
-    | None -> None
-    | Some (time, v) ->
-      if core.pinned.(v) then pick_opt (IntMap.remove time t) else Some v
-  in
-  let victim =
-    match pick_opt core.dead_by_time with
-    | Some v -> v
-    | None -> (
-      match pick_opt core.by_time with
-      | Some v -> v
-      | None -> failwith "Schedulers: cache too small (everything pinned)")
-  in
-  if writeback victim && not core.in_slow.(victim) then begin
-    emit core (Trace.Store victim);
-    core.in_slow.(victim) <- true;
-    core.stores <- core.stores + 1;
-    if not (core.output_pred victim) then
-      core.spill_stores <- core.spill_stores + 1
-  end;
-  emit core (Trace.Evict victim);
-  core.in_cache.(victim) <- false;
-  core.occupancy <- core.occupancy - 1;
-  forget core victim
-
-let ensure_room core ~writeback =
-  while core.occupancy >= core.cache_size do
-    evict_one core ~writeback
-  done
-
-let load core v ~writeback =
-  ensure_room core ~writeback;
-  emit core (Trace.Load v);
-  core.in_cache.(v) <- true;
-  core.occupancy <- core.occupancy + 1;
-  core.loads <- core.loads + 1;
-  if core.ever_resident.(v) then core.reloads <- core.reloads + 1;
-  core.ever_resident.(v) <- true;
-  touch core v
-
-let result_of core =
+let view work =
+  let g = work.W.graph in
+  let remaining = Array.init (W.n_vertices work) (D.out_degree g) in
   {
-    trace = List.rev core.events;
-    counters =
-      {
-        Trace.loads = core.loads;
-        stores = core.stores;
-        computes = core.computes;
-        recomputes = core.recomputes;
-      };
+    C.n_vertices = W.n_vertices work;
+    is_input = W.is_input work; is_output = W.is_output work; outputs = work.W.outputs;
+    preds = D.in_neighbors g;
+    remaining = (fun v -> remaining.(v));
+    consume = (fun _ p -> remaining.(p) <- remaining.(p) - 1);
   }
 
-(* --- LRU / spilling execution --- *)
+let collect f =
+  let events = ref [] in
+  let counters = f (fun e -> events := e :: !events) in
+  { trace = List.rev !events; counters }
 
-(** Execute [order] (a valid topological order of non-input vertices)
-    with LRU replacement (dead residents evicted first) and write-back
-    spilling. [cache_size] must exceed the maximum in-degree. The run
-    tracks the live-set size as it goes and enforces Dataflow's
-    spill-free bound: when [cache_size >= MAXLIVE(order)] the trace
-    must contain zero spills (no reload, no store of a non-output) —
-    I/O is exactly compulsory. *)
-let run_lru work ~cache_size order =
-  let g = work.W.graph in
-  let core = make_core work ~cache_size in
-  let remaining_uses = Array.init (W.n_vertices work) (fun v -> D.out_degree g v) in
-  (* Spill policy: write back anything still needed, and outputs. *)
-  let writeback v = remaining_uses.(v) > 0 || core.output_pred v in
-  (* Live-set size per Dataflow.order_liveness: an input is live from
-     its first use, a computed value from its definition; both die at
-     their last use (an unused value dies at its definition step). *)
-  let live = ref 0 and maxlive = ref 0 in
-  List.iteri
-    (fun step v ->
-      let preds = D.in_neighbors g v in
-      (* Pin operands so making room for one cannot evict another. *)
-      List.iter
-        (fun p ->
-          if not core.in_cache.(p) then begin
-            if not core.in_slow.(p) then
-              failwith
-                (Printf.sprintf
-                   "Schedulers.run_lru: order step %d (vertex %d): operand %d lost"
-                   step v p);
-            if core.input_mask p && not core.ever_resident.(p) then incr live;
-            core.pinned.(p) <- true;
-            load core p ~writeback
-          end
-          else begin
-            core.pinned.(p) <- true;
-            touch core p
-          end)
-        preds;
-      ensure_room core ~writeback;
-      emit core (Trace.Compute v);
-      core.in_cache.(v) <- true;
-      core.ever_resident.(v) <- true;
-      core.occupancy <- core.occupancy + 1;
-      core.computes <- core.computes + 1;
-      incr live;
-      if !live > !maxlive then maxlive := !live;
-      touch core v;
-      List.iter
-        (fun p ->
-          core.pinned.(p) <- false;
-          remaining_uses.(p) <- remaining_uses.(p) - 1;
-          if remaining_uses.(p) = 0 then begin
-            decr live;
-            if core.in_cache.(p) then
-              if core.output_pred p then
-                (* Unstored outputs stay resident but join the preferred-
-                   victim pool: evicting one only pays its one mandatory
-                   store early. *)
-                mark_dead core p
-              else begin
-                (* Dead values leave the cache for free. *)
-                emit core (Trace.Evict p);
-                core.in_cache.(p) <- false;
-                core.occupancy <- core.occupancy - 1;
-                forget core p
-              end
-          end)
-        preds;
-      if remaining_uses.(v) = 0 then begin
-        decr live;
-        mark_dead core v
-      end)
-    order;
-  (* Flush outputs still dirty in cache. *)
-  Array.iter
-    (fun v ->
-      if core.in_cache.(v) && not core.in_slow.(v) then begin
-        emit core (Trace.Store v);
-        core.in_slow.(v) <- true;
-        core.stores <- core.stores + 1
-      end)
-    work.W.outputs;
-  if cache_size >= !maxlive && (core.reloads > 0 || core.spill_stores > 0) then
-    failwith
-      (Printf.sprintf
-         "Schedulers.run_lru: spill-free invariant violated: cache_size=%d >= \
-          maxlive=%d yet reloads=%d spill_stores=%d"
-         cache_size !maxlive core.reloads core.spill_stores);
-  result_of core
+let run who ?recompute ?max_flops ?(rule = C.Lru) work ~cache_size order =
+  collect (fun emit ->
+      C.run ~who ~rule ?recompute ?max_flops ~emit (view work) ~cache_size (fun f ->
+          List.iter f order))
 
-(* --- Belady / offline-optimal replacement --- *)
+let run_lru work ~cache_size order = run "Schedulers.run_lru" work ~cache_size order
 
-(** Execute [order] with Belady's MIN policy: given the whole future
-    reference sequence, evict the resident value whose next use is
-    farthest away (never-used-again values first). Offline-optimal for
-    the replacement decision at a fixed compute order, so its I/O lower
-    bounds every demand-paging execution of that order — the tightest
-    schedule the no-recomputation machine can extract from an order
-    without reordering. *)
+let run_hybrid ?(max_flops = 200_000_000) work ~cache_size ~recompute order =
+  run "Schedulers.run_hybrid" ~recompute ~max_flops work ~cache_size order
+
+(* MIN needs the future: the order positions referencing each vertex
+   (as an operand, and at its own compute), consumed as steps pass. *)
 let run_belady work ~cache_size order =
   let g = work.W.graph in
-  let n = W.n_vertices work in
-  let core = make_core work ~cache_size in
-  let remaining_uses = Array.init n (fun v -> D.out_degree g v) in
-  let writeback v = remaining_uses.(v) > 0 || core.output_pred v in
-  (* Future reference positions per vertex: vertex v is referenced at
-     step i when it is an operand of order[i] (and at its own compute
-     step). Precompute queues of positions. *)
-  let refs = Array.make n [] in
-  List.iteri
-    (fun i v ->
-      refs.(v) <- i :: refs.(v);
-      List.iter (fun p -> refs.(p) <- i :: refs.(p)) (D.in_neighbors g v))
-    order;
-  let future = Array.map (fun l -> ref (List.rev l)) refs in
-  let next_use_after v now =
-    let rec drop = function
-      | t :: rest when t <= now ->
-        future.(v) := rest;
-        drop rest
-      | l -> l
-    in
-    match drop !(future.(v)) with [] -> max_int | t :: _ -> t
+  let future = Array.make (W.n_vertices work) [] in
+  let refer i p = future.(p) <- i :: future.(p) in
+  List.iteri (fun i v -> List.iter (refer i) (v :: D.in_neighbors g v)) order;
+  Array.iteri (fun v l -> future.(v) <- List.rev l) future;
+  let rec next_use v now =
+    match future.(v) with
+    | t :: rest when t <= now -> future.(v) <- rest; next_use v now
+    | [] -> max_int
+    | t :: _ -> t
   in
-  (* Belady eviction: scan the residents (the recency map — at most
-     cache_size entries, NOT the whole vertex set, which matters at
-     n = 64 where the CDAG has ~10^6 vertices) for the farthest next
-     use. Ties on the next-use distance are broken toward a CLEAN
-     victim (already in slow memory, or dead so never written back):
-     evicting it is free, while a dirty co-leader would cost a Store
-     the clean choice avoids. Within the same cleanliness class the
-     smallest vertex id wins; every clause is scan-order-independent,
-     so the policy stays deterministic. *)
-  let evict_belady now =
-    let victim = ref (-1) and victim_next = ref (-1) in
-    let victim_dirty = ref false in
-    let is_dirty v = writeback v && not core.in_slow.(v) in
-    IntMap.iter
-      (fun _time v ->
-        if not core.pinned.(v) then begin
-          let nu = next_use_after v now in
-          let dirty = is_dirty v in
-          if
-            nu > !victim_next
-            || (nu = !victim_next
-               && ((!victim_dirty && not dirty)
-                  || (!victim_dirty = dirty && v < !victim)))
-          then begin
-            victim := v;
-            victim_next := nu;
-            victim_dirty := dirty
-          end
-        end)
-      core.by_time;
-    if !victim < 0 then failwith "Schedulers: cache too small (everything pinned)";
-    let v = !victim in
-    if writeback v && not core.in_slow.(v) then begin
-      emit core (Trace.Store v);
-      core.in_slow.(v) <- true;
-      core.stores <- core.stores + 1
-    end;
-    emit core (Trace.Evict v);
-    core.in_cache.(v) <- false;
-    core.occupancy <- core.occupancy - 1;
-    forget core v
-  in
-  let ensure_room_belady now =
-    while core.occupancy >= core.cache_size do
-      evict_belady now
-    done
-  in
-  List.iteri
-    (fun now v ->
-      let preds = D.in_neighbors g v in
-      List.iter
-        (fun p ->
-          if not core.in_cache.(p) then begin
-            if not core.in_slow.(p) then
-              failwith
-                (Printf.sprintf
-                   "Schedulers.run_belady: order step %d (vertex %d): operand %d lost"
-                   now v p);
-            core.pinned.(p) <- true;
-            ensure_room_belady now;
-            emit core (Trace.Load p);
-            core.in_cache.(p) <- true;
-            core.occupancy <- core.occupancy + 1;
-            core.loads <- core.loads + 1;
-            touch core p
-          end
-          else core.pinned.(p) <- true)
-        preds;
-      ensure_room_belady now;
-      emit core (Trace.Compute v);
-      core.in_cache.(v) <- true;
-      core.occupancy <- core.occupancy + 1;
-      core.computes <- core.computes + 1;
-      touch core v;
-      List.iter
-        (fun p ->
-          core.pinned.(p) <- false;
-          remaining_uses.(p) <- remaining_uses.(p) - 1;
-          if remaining_uses.(p) = 0 && not (core.output_pred p) && core.in_cache.(p)
-          then begin
-            emit core (Trace.Evict p);
-            core.in_cache.(p) <- false;
-            core.occupancy <- core.occupancy - 1;
-            forget core p
-          end)
-        preds)
-    order;
-  Array.iter
-    (fun v ->
-      if core.in_cache.(v) && not core.in_slow.(v) then begin
-        emit core (Trace.Store v);
-        core.in_slow.(v) <- true;
-        core.stores <- core.stores + 1
-      end)
-    work.W.outputs;
-  result_of core
+  run "Schedulers.run_belady" ~rule:(C.Min next_use) work ~cache_size order
 
-(* --- rematerializing execution --- *)
-
-(** Execute with recomputation instead of spilling: only outputs are
-    ever stored; a missing operand is recomputed recursively (inputs
-    are re-loaded). [max_flops] aborts pathological blow-ups. *)
+(* Rematerialization: nothing but inputs is ever reloaded, every
+   intermediate is rebuilt from scratch, and an output is stored the
+   moment it is computed. Victims are never written back. *)
 let run_rematerialize ?(max_flops = 200_000_000) work ~cache_size order =
-  let g = work.W.graph in
-  let core = make_core work ~cache_size in
-  let computed_once = Array.make (W.n_vertices work) false in
-  (* Never write back: intermediates are recomputable, inputs are
-     already in slow memory, outputs are stored at first compute. *)
-  let writeback _ = false in
-  let flops = ref 0 in
-  (* The flop cap is charged BEFORE each compute, deep inside the
-     recursive descent: the run aborts at the exact step that would
-     exceed the budget, so a failed run never performs more than
-     [max_flops] computations (the cap cannot be overshot while a
-     recomputation subtree drains). *)
-  let charge_flop v =
-    if !flops >= max_flops then
-      failwith
-        (Printf.sprintf
-           "Schedulers.run_rematerialize: flop budget exceeded (cap %d) at \
-            compute of vertex %d"
-           max_flops v);
-    incr flops
-  in
-  let rec materialize v =
-    if core.in_cache.(v) then touch core v
-    else if core.input_mask v then begin
-      core.pinned.(v) <- true;
-      load core v ~writeback
-    end
-    else begin
-      let preds = D.in_neighbors g v in
-      List.iter materialize preds;
-      (* Re-pin operands: deep recursion may have unpinned them. *)
-      List.iter
-        (fun p ->
-          if not core.in_cache.(p) then materialize p;
-          core.pinned.(p) <- true)
-        preds;
-      charge_flop v;
-      ensure_room core ~writeback;
-      emit core (Trace.Compute v);
-      if computed_once.(v) then core.recomputes <- core.recomputes + 1;
-      computed_once.(v) <- true;
-      core.in_cache.(v) <- true;
-      core.occupancy <- core.occupancy + 1;
-      core.computes <- core.computes + 1;
-      core.pinned.(v) <- true;
-      touch core v;
-      List.iter (fun p -> core.pinned.(p) <- false) preds;
-      if core.output_pred v && not core.in_slow.(v) then begin
-        emit core (Trace.Store v);
-        core.in_slow.(v) <- true;
-        core.stores <- core.stores + 1
-      end
-    end
-  in
-  List.iter
-    (fun v ->
-      materialize v;
-      core.pinned.(v) <- false)
-    order;
-  result_of core
-
-(* --- hybrid execution: per-value spill-vs-recompute --- *)
-
-(** Execute [order] with LRU victim selection but a per-value policy
-    for what eviction of a live value does: [recompute v = false]
-    spills it (write back, reload on demand, exactly run_lru's rule)
-    while [recompute v = true] drops it and rebuilds it recursively
-    when next needed (run_rematerialize's rule). The two fixed policies
-    are the constant functions; everything in between is the search
-    space of Fmm_opt. *)
-let run_hybrid ?(max_flops = 200_000_000) work ~cache_size ~recompute order =
-  let g = work.W.graph in
-  let core = make_core work ~cache_size in
-  let n = W.n_vertices work in
-  let remaining_uses = Array.init n (fun v -> D.out_degree g v) in
-  let computed_once = Array.make n false in
-  (* A victim is written back when it is still live (a first-time use
-     remains, or it is an output not yet saved) and the policy says
-     spill. Outputs always spill: dropping one only defers a store it
-     must eventually pay anyway, plus the recompute. *)
-  let writeback v =
-    (remaining_uses.(v) > 0 || core.output_pred v)
-    && (core.output_pred v || not (recompute v))
-  in
-  let flops = ref 0 in
-  (* Same cap discipline as run_rematerialize: charged before the
-     compute, so the budget is never overshot. *)
-  let charge_flop v =
-    if !flops >= max_flops then
-      failwith
-        (Printf.sprintf
-           "Schedulers.run_hybrid: flop budget exceeded (cap %d) at compute \
-            of vertex %d"
-           max_flops v);
-    incr flops
-  in
-  let rec materialize v =
-    if core.in_cache.(v) then touch core v
-    else if core.in_slow.(v) then begin
-      (* inputs, spilled values, stored outputs: reload *)
-      core.pinned.(v) <- true;
-      load core v ~writeback
-    end
-    else begin
-      (* dropped under the recompute policy (or freed when dead and
-         re-demanded by a later recomputation): rebuild it *)
-      let preds = D.in_neighbors g v in
-      List.iter materialize preds;
-      List.iter
-        (fun p ->
-          if not core.in_cache.(p) then materialize p;
-          core.pinned.(p) <- true)
-        preds;
-      charge_flop v;
-      ensure_room core ~writeback;
-      emit core (Trace.Compute v);
-      if computed_once.(v) then core.recomputes <- core.recomputes + 1;
-      computed_once.(v) <- true;
-      core.in_cache.(v) <- true;
-      core.occupancy <- core.occupancy + 1;
-      core.computes <- core.computes + 1;
-      core.pinned.(v) <- true;
-      touch core v;
-      List.iter (fun p -> core.pinned.(p) <- false) preds
-    end
-  in
-  List.iteri
-    (fun step v ->
-      if core.in_cache.(v) || computed_once.(v) then
-        failwith
-          (Printf.sprintf
-             "Schedulers.run_hybrid: order step %d recomputes vertex %d" step v);
-      let preds = D.in_neighbors g v in
-      List.iter
-        (fun p ->
-          if core.in_cache.(p) then touch core p else materialize p;
-          core.pinned.(p) <- true)
-        preds;
-      charge_flop v;
-      ensure_room core ~writeback;
-      emit core (Trace.Compute v);
-      computed_once.(v) <- true;
-      core.in_cache.(v) <- true;
-      core.occupancy <- core.occupancy + 1;
-      core.computes <- core.computes + 1;
-      touch core v;
-      List.iter
-        (fun p ->
-          core.pinned.(p) <- false;
-          remaining_uses.(p) <- remaining_uses.(p) - 1;
-          (* Dead values leave the cache for free; a later recompute
-             that re-demands one rebuilds it through [materialize].
-             Dead unstored outputs become preferred victims instead,
-             exactly as in run_lru. *)
-          if remaining_uses.(p) = 0 && core.in_cache.(p) then
-            if core.output_pred p then mark_dead core p
-            else begin
-              emit core (Trace.Evict p);
-              core.in_cache.(p) <- false;
-              core.occupancy <- core.occupancy - 1;
-              forget core p
-            end)
-        preds;
-      if remaining_uses.(v) = 0 then mark_dead core v)
-    order;
-  Array.iter
-    (fun v ->
-      if core.in_cache.(v) && not core.in_slow.(v) then begin
-        emit core (Trace.Store v);
-        core.in_slow.(v) <- true;
-        core.stores <- core.stores + 1
-      end)
-    work.W.outputs;
-  result_of core
+  let view = view work in
+  collect (fun emit ->
+      let c =
+        C.create ~who:"Schedulers.run_rematerialize" ~view ~cache_size ~rule:C.Lru
+          ~writeback:(fun _ -> false) ~max_flops ~emit
+      in
+      let pin = C.Bits.set c.C.pinned and unpin = C.Bits.clear c.C.pinned in
+      let rec materialize v =
+        if C.mem c.C.in_cache v then C.touch c v
+        else if view.C.is_input v then (pin v; C.load c v)
+        else begin
+          let preds = view.C.preds v in
+          List.iter materialize preds;
+          (* re-pin operands: deep recursion may have unpinned them *)
+          List.iter
+            (fun p ->
+              if not (C.mem c.C.in_cache p) then materialize p;
+              pin p)
+            preds;
+          C.compute c v;
+          pin v;
+          List.iter unpin preds;
+          if view.C.is_output v && not (C.mem c.C.in_slow v) then C.store c v
+        end
+      in
+      List.iter (fun v -> materialize v; unpin v) order;
+      C.finish c)

@@ -1,8 +1,17 @@
 (** Schedulers: turn a compute order into a legal machine trace, under
     the two opposite policies for values that fall out of cache —
-    spill (write back and reload) or recompute. Every trace they
-    produce replays cleanly through {!Cache_machine} (enforced by the
-    test suite). *)
+    spill (write back and reload) or recompute. [run_lru], [run_belady]
+    and [run_hybrid] are settings of one engine (a victim rule times a
+    per-value spill-or-recompute rule, the engine {!Stream_exec} runs
+    too); [run_rematerialize] drives the same cache primitives with its
+    own recursion. Every trace they produce replays cleanly through
+    {!Cache_machine} (enforced by the test suite).
+
+    One order contract holds for every policy: an order that repeats a
+    vertex, uses an operand before computing it, or leaves an output
+    uncomputed raises a [Failure] located by order step and vertex
+    ([run_rematerialize], which rebuilds missing operands by design,
+    checks only the outputs). *)
 
 type result = {
   trace : Trace.t;  (** in execution order *)

@@ -1,8 +1,9 @@
 (** Streaming LRU execution of an implicit CDAG on the canonical
-    ascending-id topological order — bit-exactly the trace
-    [Schedulers.run_lru] emits for the same order on the explicit
-    graph, but in O(V/8 + cache) space: events are pushed to a
-    callback instead of materialized, adjacency is computed
+    ascending-id topological order. It is the scheduler engine
+    [Schedulers.run_lru] runs, over the implicit graph view instead of
+    the explicit one, so it emits bit-exactly the same trace, in
+    O(V/8 + cache) space: events are pushed to a callback instead of
+    materialized, adjacency and remaining uses are computed
     arithmetically, and the recency structure only tracks resident
     vertices. This is what lifts trace-level analysis (I/O counters,
     segment I/O, Lemma 3.6 checks) from n <= 16 to n = 256 and

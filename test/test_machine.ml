@@ -791,6 +791,206 @@ let test_hybrid_differential_random () =
         flags)
     [ 1; 2; 3; 4; 5 ]
 
+(* One order contract for every policy: a repeated vertex, an operand
+   used before it is computed, and an output the order omits each raise
+   one located Failure. Rematerialization rebuilds missing operands and
+   tolerates repeats by design, so it takes only the omitted output. *)
+let test_order_contract () =
+  let g = Fmm_graph.Digraph.create () in
+  ignore (Fmm_graph.Digraph.add_vertices g 4);
+  (* inputs 0, 1; 2 = f(0, 1); output 3 = g(2, 1) *)
+  List.iter
+    (fun (p, v) -> Fmm_graph.Digraph.add_edge g p v)
+    [ (0, 2); (1, 2); (2, 3); (1, 3) ];
+  let w = W.make ~name:"contract" ~graph:g ~inputs:[| 0; 1 |] ~outputs:[| 3 |] () in
+  let policies =
+    [
+      ("lru", true, fun o -> Sch.run_lru w ~cache_size:4 o);
+      ("belady", true, fun o -> Sch.run_belady w ~cache_size:4 o);
+      ("hybrid never", true, Sch.run_hybrid w ~cache_size:4 ~recompute:(fun _ -> false));
+      ("hybrid v mod 3", true,
+       Sch.run_hybrid w ~cache_size:4 ~recompute:(fun v -> v mod 3 = 0));
+      ("remat", false, fun o -> Sch.run_rematerialize w ~cache_size:4 o);
+    ]
+  in
+  let cases =
+    [
+      ("repeated vertex", true, [ 2; 2; 3 ], "order step 1 recomputes vertex 2");
+      ("non-topological", true, [ 3; 2 ], "order step 0 (vertex 3): operand 2 lost");
+      ("omitted output", false, [ 2 ], "output vertex 3 never computed");
+    ]
+  in
+  List.iter
+    (fun (pname, strict, run) ->
+      List.iter
+        (fun (cname, needs_strict, order, expected) ->
+          if strict || not needs_strict then
+            match run order with
+            | _ -> Alcotest.failf "%s / %s: returned a trace" pname cname
+            | exception Failure msg ->
+              if not (contains msg expected) then
+                Alcotest.failf "%s / %s: %S lacks %S" pname cname msg expected)
+        cases)
+    policies
+
+(* A reference LRU and Belady written from the policy definitions alone:
+   plain per-vertex arrays, the residents as a list, every victim found
+   by a linear scan. The engine must match it event for event. *)
+let reference_schedule ~belady w ~cache_size order =
+  let g = w.W.graph in
+  let n = W.n_vertices w in
+  let is_out = Array.make n false and in_slow = Array.make n false in
+  Array.iter (fun v -> is_out.(v) <- true) w.W.outputs;
+  Array.iter (fun v -> in_slow.(v) <- true) w.W.inputs;
+  let uses = Array.init n (Fmm_graph.Digraph.out_degree g) in
+  let stamp = Array.make n 0 and dead = Array.make n false in
+  let pinned = Array.make n false and resident = ref [] and clock = ref 0 in
+  let events = ref [] in
+  let emit e = events := e :: !events in
+  (* the order positions referencing each vertex, ascending *)
+  let refs = Array.make n [] in
+  List.iteri
+    (fun i v ->
+      List.iter
+        (fun p -> refs.(p) <- i :: refs.(p))
+        (v :: Fmm_graph.Digraph.in_neighbors g v))
+    order;
+  let refs = Array.map List.rev refs in
+  let next_use v now =
+    match List.filter (fun t -> t > now) refs.(v) with [] -> max_int | t :: _ -> t
+  in
+  let touch v =
+    incr clock;
+    stamp.(v) <- !clock;
+    dead.(v) <- false
+  in
+  let dirty v = (uses.(v) > 0 || is_out.(v)) && not in_slow.(v) in
+  let evict now =
+    let cands = List.filter (fun v -> not pinned.(v)) !resident in
+    let oldest l =
+      List.fold_left (fun b v -> if b < 0 || stamp.(v) < stamp.(b) then v else b) (-1) l
+    in
+    let better a b =
+      let ka = next_use a now and kb = next_use b now in
+      ka > kb || (ka = kb && (dirty b && not (dirty a) || (dirty a = dirty b && a < b)))
+    in
+    let victim =
+      if belady then
+        List.fold_left (fun b v -> if b < 0 || better v b then v else b) (-1) cands
+      else
+        match oldest (List.filter (fun v -> dead.(v)) cands) with
+        | -1 -> oldest cands
+        | v -> v
+    in
+    if victim < 0 then failwith "reference: everything pinned";
+    if dirty victim then begin
+      emit (Tr.Store victim);
+      in_slow.(victim) <- true
+    end;
+    emit (Tr.Evict victim);
+    resident := List.filter (( <> ) victim) !resident
+  in
+  let make_room now =
+    while List.length !resident >= cache_size do
+      evict now
+    done
+  in
+  List.iteri
+    (fun now v ->
+      let preds = Fmm_graph.Digraph.in_neighbors g v in
+      List.iter
+        (fun p ->
+          if not (List.mem p !resident) then begin
+            pinned.(p) <- true;
+            make_room now;
+            emit (Tr.Load p);
+            resident := p :: !resident
+          end;
+          pinned.(p) <- true;
+          touch p)
+        preds;
+      make_room now;
+      emit (Tr.Compute v);
+      resident := v :: !resident;
+      touch v;
+      List.iter
+        (fun p ->
+          pinned.(p) <- false;
+          uses.(p) <- uses.(p) - 1;
+          if uses.(p) = 0 && List.mem p !resident then
+            if is_out.(p) then dead.(p) <- true
+            else begin
+              emit (Tr.Evict p);
+              resident := List.filter (( <> ) p) !resident
+            end)
+        preds;
+      if uses.(v) = 0 then dead.(v) <- true)
+    order;
+  Array.iter
+    (fun v ->
+      if List.mem v !resident && not in_slow.(v) then begin
+        emit (Tr.Store v);
+        in_slow.(v) <- true
+      end)
+    w.W.outputs;
+  List.rev !events
+
+let test_reference_oracle () =
+  let check name w order m =
+    List.iter
+      (fun (pname, belady, (res : Sch.result)) ->
+        let expected = reference_schedule ~belady w ~cache_size:m order in
+        if res.Sch.trace <> expected then
+          Alcotest.failf "%s M=%d: %s differs from the reference" name m pname;
+        Alcotest.(check bool)
+          (Printf.sprintf "%s M=%d %s counters" name m pname)
+          true
+          (Tr.count expected = res.Sch.counters))
+      [
+        ("lru", false, Sch.run_lru w ~cache_size:m order);
+        ("belady", true, Sch.run_belady w ~cache_size:m order);
+      ]
+  in
+  List.iter
+    (fun seed ->
+      let w, order = random_workload ~seed in
+      let max_indeg =
+        List.fold_left
+          (fun acc v -> max acc (Fmm_graph.Digraph.in_degree w.W.graph v))
+          0 order
+      in
+      List.iter
+        (check (Printf.sprintf "random-%d" seed) w order)
+        [ max_indeg + 2; max_indeg + 8; 64 ])
+    [ 1; 2; 3; 4; 5; 6; 7; 8 ];
+  List.iter (check "strassen-8" w8 (Ord.recursive_dfs cdag8)) [ 16; 64 ];
+  let cdag16 = Cd.build S.strassen ~n:16 in
+  check "strassen-16" (wof cdag16) (Ord.recursive_dfs cdag16) 64;
+  let hyb = Cd.build ~cutoff:2 S.strassen ~n:8 in
+  List.iter (check "strassen-8 cutoff 2" (wof hyb) (Ord.recursive_dfs hyb)) [ 16; 48 ]
+
+(* Hybrid runs that really drop and rebuild values, pinned by their
+   exact counters and trace length (NE1 executes the first one). *)
+let test_hybrid_flagged_pins () =
+  List.iter
+    (fun (n, m, k, (loads, stores, computes, recomputes, events)) ->
+      let cdag = Cd.build S.strassen ~n in
+      let r =
+        Sch.run_hybrid (wof cdag) ~cache_size:m
+          ~recompute:(fun v -> v mod k = 0)
+          (Ord.recursive_dfs cdag)
+      in
+      Alcotest.(check (list int))
+        (Printf.sprintf "strassen-%d M=%d v mod %d" n m k)
+        [ loads; stores; computes; recomputes; events ]
+        (let c = r.Sch.counters in
+         let events = List.length r.Sch.trace in
+         [ c.Tr.loads; c.Tr.stores; c.Tr.computes; c.Tr.recomputes; events ]))
+    [
+      (16, 64, 5, (16869, 3076, 34521, 19250, 105796));
+      (8, 32, 3, (3707, 386, 6806, 4789, 21384));
+    ]
+
 (* --- segment analysis (Lemma 3.6) --- *)
 
 let test_segments_partition_io () =
@@ -1042,6 +1242,8 @@ let () =
         [
           Alcotest.test_case "random workloads" `Quick
             test_schedulers_differential_random;
+          Alcotest.test_case "reference lru/belady" `Quick test_reference_oracle;
+          Alcotest.test_case "hybrid flagged pins" `Quick test_hybrid_flagged_pins;
         ] );
       ( "bugfixes",
         [
@@ -1053,6 +1255,7 @@ let () =
             test_hybrid_all_false_is_lru;
           Alcotest.test_case "hybrid differential" `Quick
             test_hybrid_differential_random;
+          Alcotest.test_case "order contract" `Quick test_order_contract;
         ] );
       ( "parallel",
         [
